@@ -1,10 +1,12 @@
 // Micro-benchmarks: tensor-library primitives, interpreter dispatch, the
 // analytic device model's per-op pricing (sanity anchors for the figures),
-// and fused-region execution — texpr JIT native code vs the tree-walking
-// interpreter on identical bodies (records feed the CI perf gate).
+// fused-region execution — texpr JIT native code vs the tree-walking
+// interpreter on identical bodies — and the reference kernels at workload
+// shapes (records feed the CI perf gate).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <functional>
 
 #include "bench/bench_common.h"
 #include "src/ir/builder.h"
@@ -266,6 +268,62 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
   }
 }
 
+// ---- Reference kernels at workload shapes ------------------------------------
+
+/// Best-of-`reps` mean ns per call of `op` over `iters` calls.
+double opNsPerIter(const std::function<Tensor()>& op, int iters, int reps) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) {
+      Tensor out = op();
+      benchmark::DoNotOptimize(out);
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best,
+                    std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                        iters);
+  }
+  return best;
+}
+
+/// The reference tensor ops the sequence and vision programs spend their
+/// unfused time in, at the programs' shapes: seq2seq's softmax broadcast and
+/// vocabulary projection, ssd's class softmax and score sort.
+void runTensorOpBench(const bench::BenchFlags& flags,
+                      bench::BenchReport& report) {
+  Rng rng(9);
+  const Tensor logits = rng.normal({8, 12288});
+  const Tensor rowMax = ops::maxReduce(logits, 1, /*keepDim=*/true);
+  const Tensor conf = rng.normal({8, 6144, 21});
+  const Tensor hidden = rng.normal({8, 32});
+  const Tensor vocab = rng.normal({32, 12288});
+  const Tensor scores = rng.normal({8, 6144});
+  struct Case {
+    const char* name;
+    std::function<Tensor()> op;
+    int iters;
+  };
+  const Case cases[] = {
+      {"sub_8x12288_bcast_8x1", [&] { return ops::sub(logits, rowMax); }, 50},
+      {"softmax_8x6144x21_dim2", [&] { return ops::softmax(conf, 2); }, 3},
+      {"matmul_8x32_32x12288", [&] { return ops::matmul(hidden, vocab); }, 10},
+      {"argsort_8x6144", [&] { return ops::argsort(scores, true); }, 3},
+  };
+  std::printf("\n=== Reference kernels at workload shapes (ns/call) ===\n");
+  for (const Case& c : cases) {
+    const double ns = opNsPerIter(c.op, c.iters, flags.reps);
+    std::printf("  %-24s %12.0f ns\n", c.name, ns);
+    bench::BenchRecord record;
+    record.name = std::string("tensor_op/") + c.name;
+    record.workload = "micro";
+    record.pipeline = "reference";
+    record.nsPerIter = ns;
+    record.timeGated = true;
+    report.add(std::move(record));
+  }
+}
+
 void printDeviceModelAnchors() {
   std::printf("\n=== Device-model anchors (per-kernel cost in us) ===\n");
   for (const auto& device : {runtime::DeviceSpec::consumer(),
@@ -284,6 +342,7 @@ int main(int argc, char** argv) {
   tssa::bench::BenchReport report("micro_ops", flags);
   printDeviceModelAnchors();
   runFusedRegionBench(flags, report);
+  runTensorOpBench(flags, report);
   report.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -8,23 +8,7 @@
 #include "src/tensor/strided_loop.h"
 
 namespace tssa {
-namespace {
-
-/// Dispatches `fn` with a type tag matching `dtype`.
-template <typename Fn>
-decltype(auto) dispatchDType(DType dtype, Fn&& fn) {
-  switch (dtype) {
-    case DType::Float32:
-      return fn(float{});
-    case DType::Int64:
-      return fn(std::int64_t{});
-    case DType::Bool:
-      return fn(std::uint8_t{});
-  }
-  TSSA_THROW("unknown dtype");
-}
-
-}  // namespace
+using detail::dispatchDType;
 
 // ---- Factories --------------------------------------------------------------
 
@@ -43,9 +27,8 @@ Tensor Tensor::empty(Shape sizes, DType dtype) {
 }
 
 Tensor Tensor::zeros(Shape sizes, DType dtype) {
-  Tensor t = empty(std::move(sizes), dtype);
-  t.fill_(Scalar(0));
-  return t;
+  // empty() storage is zeroed whether fresh or recycled (Arena::allocate).
+  return empty(std::move(sizes), dtype);
 }
 
 Tensor Tensor::ones(Shape sizes, DType dtype) {
@@ -356,9 +339,7 @@ Tensor Tensor::contiguous() const {
 
 Tensor Tensor::to(DType dtype) const {
   Tensor out = empty(sizes_, dtype);
-  const std::int64_t n = numel();
-  for (std::int64_t i = 0; i < n; ++i)
-    out.setScalarAtLinear(i, scalarAtLinear(i));
+  out.copy_(*this);
   return out;
 }
 
@@ -387,51 +368,49 @@ void Tensor::copy_(const Tensor& src) {
   // General path. If source and destination may overlap in storage, snapshot
   // the source first (PyTorch semantics for overlapping copy_ are undefined;
   // we pick the snapshot semantics so programs are deterministic).
-  Tensor source = src;
-  if (sharesStorageWith(src)) {
-    Tensor snapshot = Tensor::empty(src.sizes_, src.dtype_);
-    const std::int64_t n = src.numel();
-    for (std::int64_t i = 0; i < n; ++i)
-      snapshot.setScalarAtLinear(i, src.scalarAtLinear(i));
-    source = snapshot;
-  }
-  // Strided walk: dtype pair dispatched once, destination and (broadcast-
-  // aligned) source offsets updated incrementally per element.
-  const std::int64_t n = numel();
-  if (n == 0) return;
+  const Tensor source = sharesStorageWith(src) ? src.clone() : src;
+  // Row walk: dtype pair dispatched once, destination and (broadcast-aligned)
+  // source offsets advanced per row.
   const Strides srcStrides =
       detail::alignedStrides(sizes_, source.sizes_, source.strides_);
-  detail::StridedLoop<2> loop(sizes_, {&strides_, &srcStrides},
-                              {offset_, source.offset_});
-  if (dtype_ == DType::Float32 && source.dtype_ == DType::Float32) {
-    const float* ps = source.storage_->as<float>();
-    float* pd = storage_->as<float>();
-    for (std::int64_t i = 0; i < n; ++i, loop.advance())
-      pd[loop.offset(0)] = ps[loop.offset(1)];
-    return;
-  }
-  const detail::LoadFn load = detail::loadFnFor(source.dtype_);
-  const detail::StoreFn store = detail::storeFnFor(dtype_);
-  const Storage& ss = *source.storage_;
-  Storage& ds = *storage_;
-  for (std::int64_t i = 0; i < n; ++i, loop.advance())
-    store(ds, loop.offset(0), load(ss, loop.offset(1)));
+  dispatchDType(dtype_, [&](auto dstTag) {
+    dispatchDType(source.dtype_, [&](auto srcTag) {
+      using D = decltype(dstTag);
+      using S = decltype(srcTag);
+      D* pd = storage_->as<D>();
+      const S* ps = source.storage_->as<S>();
+      for (detail::StridedLoop<2> loop(sizes_, {&strides_, &srcStrides},
+                                       {offset_, source.offset_});
+           loop.valid(); loop.nextRow()) {
+        D* rd = pd + loop.offset(0);
+        const S* rs = ps + loop.offset(1);
+        const std::int64_t n = loop.rowLength();
+        const std::int64_t sd = loop.rowStride(0);
+        detail::withRowStride(loop.rowStride(1), [&](auto ss) {
+          for (std::int64_t j = 0; j < n; ++j)
+            rd[j * sd] = detail::convertElem<S, D>(rs[j * ss]);
+        });
+      }
+    });
+  });
 }
 
 void Tensor::fill_(Scalar value) {
   TSSA_CHECK(defined(), "fill_ on undefined tensor");
   const double v = value.toDouble();
-  if (isContiguous()) {
-    const std::int64_t n = numel();
-    dispatchDType(dtype_, [&](auto tag) {
-      using T = decltype(tag);
-      T* p = storage_->as<T>() + offset_;
-      std::fill(p, p + n, static_cast<T>(v));
-    });
-    return;
-  }
-  for (IndexIterator it(sizes_); it.valid(); it.next())
-    setScalarAt(it.index(), v);
+  dispatchDType(dtype_, [&](auto tag) {
+    using T = decltype(tag);
+    const T x = static_cast<T>(v);
+    T* p = storage_->as<T>();
+    for (detail::StridedLoop<1> loop(sizes_, {&strides_}, {offset_});
+         loop.valid(); loop.nextRow()) {
+      T* row = p + loop.offset(0);
+      const std::int64_t n = loop.rowLength();
+      detail::withRowStride(loop.rowStride(0), [&](auto s) {
+        for (std::int64_t j = 0; j < n; ++j) row[j * s] = x;
+      });
+    }
+  });
 }
 
 // ---- Printing / comparison ------------------------------------------------------

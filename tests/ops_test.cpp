@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/random.h"
@@ -152,6 +153,32 @@ TEST(OpsTest, IndexSelectAndGather) {
   Tensor g = ops::gather(a, 0, gidx);
   EXPECT_EQ(g.scalarAt(Shape{0, 0}), 20.0);
   EXPECT_EQ(g.scalarAt(Shape{2, 1}), 31.0);
+}
+
+TEST(OpsTest, GatherRejectsIndexOutOfRange) {
+  // Every index value must lie in [0, size(dim)); negative values are not
+  // wrapped.
+  Tensor a = Tensor::fromData({1, 2, 3, 4, 5, 6}, {2, 3});
+  for (std::int64_t bad : {std::int64_t{7}, std::int64_t{3},
+                           std::int64_t{-5}, std::int64_t{-1}}) {
+    SCOPED_TRACE(bad);
+    Tensor idx = Tensor::fromData(std::vector<std::int64_t>{0, bad, 2, 1},
+                                  {2, 2});
+    EXPECT_THROW(ops::gather(a, 1, idx), Error);
+  }
+  Tensor ok = Tensor::fromData(std::vector<std::int64_t>{0, 2, 2, 1}, {2, 2});
+  Tensor g = ops::gather(a, 1, ok);
+  EXPECT_EQ(g.scalarAt(Shape{0, 1}), 3.0);
+  EXPECT_EQ(g.scalarAt(Shape{1, 1}), 5.0);
+}
+
+TEST(OpsTest, GatherRejectsIndexLargerThanInputOffTheGatheredDim) {
+  // index.size(d) may exceed a.size(d) only along the gathered dim.
+  Tensor a = Tensor::fromData({1, 2, 3, 4, 5, 6}, {2, 3});
+  Tensor tall = Tensor::zeros({3, 2}, DType::Int64);
+  EXPECT_THROW(ops::gather(a, 1, tall), Error);
+  Tensor wide = Tensor::zeros({2, 5}, DType::Int64);
+  EXPECT_EQ(ops::gather(a, 1, wide).sizes(), (Shape{2, 5}));
 }
 
 TEST(OpsTest, TopkArgsortCumsum) {

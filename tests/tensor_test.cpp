@@ -21,6 +21,16 @@ TEST(ShapeTest, Broadcast) {
   EXPECT_EQ(broadcastShapes(Shape{5, 3, 1}, Shape{3, 4}), (Shape{5, 3, 4}));
   EXPECT_EQ(broadcastShapes(Shape{}, Shape{2, 2}), (Shape{2, 2}));
   EXPECT_THROW(broadcastShapes(Shape{2}, Shape{3}), Error);
+}
+
+TEST(ShapeTest, BroadcastKeepsExtentZero) {
+  // An extent-1 (or missing) dim broadcasts to an extent-0 one: the result is
+  // empty, not one element read out of an empty buffer.
+  EXPECT_EQ(broadcastShapes(Shape{3, 0, 2}, Shape{1, 2}), (Shape{3, 0, 2}));
+  EXPECT_EQ(broadcastShapes(Shape{2}, Shape{0, 2}), (Shape{0, 2}));
+  EXPECT_THROW(broadcastShapes(Shape{0}, Shape{2}), Error);
+  EXPECT_EQ(ops::add(Tensor::empty({3, 0, 2}), Tensor::ones({2})).sizes(),
+            (Shape{3, 0, 2}));
   EXPECT_TRUE(broadcastableTo(Shape{1, 4}, Shape{3, 4}));
   EXPECT_FALSE(broadcastableTo(Shape{2, 4}, Shape{3, 4}));
 }
