@@ -590,8 +590,8 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       std::vector<RtValue> rets;
       std::int64_t flops = 0;
       std::int64_t savedBytes = 0;
+      texpr::Kernel::RunStats stats;
       if (kernel != nullptr) {
-        texpr::Kernel::RunStats stats;
         // Pool workers must not recurse into the pool: a ParallelMap body's
         // fused kernels run single-threaded inside their iteration.
         rets = kernel->run(groupInputs, &stats, ctx.onWorker ? 1 : threads_);
@@ -615,6 +615,10 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
         span.arg("backend", kernel != nullptr ? "texpr" : "interp");
         span.arg("bytes", bytes);
         span.arg("flops", flops);
+        if (kernel != nullptr) {
+          span.arg("elems", stats.elems);
+          span.arg("inplace", stats.inplace);
+        }
       }
       if (profiler_ != nullptr) chargeKernel(node, bytes, flops, ctx);
       for (std::size_t i = 0; i < rets.size(); ++i)

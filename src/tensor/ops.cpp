@@ -65,10 +65,18 @@ Tensor binaryOp(const Tensor& a, const Tensor& b, DType outDType, Fn&& fn) {
   return out;
 }
 
+/// Arithmetic with the promoted dtype. Bool ⊕ Bool stays Bool and stores
+/// 0/1 (torch: add is logical or, mul is logical and), the value texpr's
+/// roundTo(Bool) gives a fused body.
 template <typename Fn>
 Tensor arith(const Tensor& a, const Tensor& b, Fn&& fn) {
-  return binaryOp(a, b, promoteTypes(a.dtype(), b.dtype()),
-                  std::forward<Fn>(fn));
+  const DType out = promoteTypes(a.dtype(), b.dtype());
+  if (out == DType::Bool) {
+    return binaryOp(a, b, out, [&](double x, double y) {
+      return fn(x, y) != 0.0 ? 1.0 : 0.0;
+    });
+  }
+  return binaryOp(a, b, out, std::forward<Fn>(fn));
 }
 
 template <typename Fn>
@@ -272,6 +280,9 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return arith(a, b, [](double x, double y) { return x + y; });
 }
 Tensor sub(const Tensor& a, const Tensor& b) {
+  TSSA_CHECK(a.dtype() != DType::Bool || b.dtype() != DType::Bool,
+             "sub: subtracting two Bool tensors is not supported; use "
+             "logical_xor or logical_not");
   return arith(a, b, [](double x, double y) { return x - y; });
 }
 Tensor mul(const Tensor& a, const Tensor& b) {
@@ -341,6 +352,8 @@ Tensor logicalNot(const Tensor& a) {
 // ---- Unary ------------------------------------------------------------------------
 
 Tensor neg(const Tensor& a) {
+  TSSA_CHECK(a.dtype() != DType::Bool,
+             "neg: negating a Bool tensor is not supported; use logical_not");
   return unaryOp(a, a.dtype(), [](double x) { return -x; });
 }
 Tensor exp(const Tensor& a) {
@@ -667,6 +680,16 @@ Tensor gather(const Tensor& a, std::int64_t dim, const Tensor& index) {
   return out;
 }
 
+namespace {
+
+/// Strict weak order for sorting: NaN is the largest value (torch.sort /
+/// topk order) and -0.0 equals 0.0; stable sorts keep ties in index order.
+bool sortsBefore(double x, double y) {
+  return std::isnan(y) ? !std::isnan(x) : x < y;
+}
+
+}  // namespace
+
 std::pair<Tensor, Tensor> topk(const Tensor& a, std::int64_t k) {
   TSSA_CHECK(a.dim() >= 1, "topk needs rank >= 1");
   const std::int64_t last = a.dim() - 1;
@@ -693,7 +716,7 @@ std::pair<Tensor, Tensor> topk(const Tensor& a, std::int64_t k) {
             row.emplace_back(static_cast<double>(pa[off[1] + j * sl]), j);
           std::stable_sort(row.begin(), row.end(),
                            [](const auto& x, const auto& y) {
-                             return x.first > y.first;
+                             return sortsBefore(y.first, x.first);
                            });
           for (std::int64_t j = 0; j < k; ++j) {
             const auto& [v, at] = row[static_cast<std::size_t>(j)];
@@ -727,8 +750,8 @@ Tensor argsort(const Tensor& a, bool descending) {
             row.emplace_back(static_cast<double>(pa[off[1] + j * sl]), j);
           std::stable_sort(row.begin(), row.end(),
                            [&](const auto& x, const auto& y) {
-                             return descending ? x.first > y.first
-                                               : x.first < y.first;
+                             return descending ? sortsBefore(y.first, x.first)
+                                               : sortsBefore(x.first, y.first);
                            });
           for (std::int64_t j = 0; j < extent; ++j)
             po[off[0] + j] = row[static_cast<std::size_t>(j)].second;

@@ -17,6 +17,9 @@ namespace tssa::ops {
 
 // ---- Elementwise binary (broadcasting) --------------------------------------
 
+/// add/sub/mul/minimum/maximum return the promoted dtype. For two Bool
+/// operands that is Bool, stored as 0/1; sub of two Bool tensors (like neg
+/// of one) raises tssa::Error, as in torch.
 Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);

@@ -153,6 +153,61 @@ Generator::Generator(const Block& body) : body_(body) {
 
 int Generator::slotOf(const Value* v) const { return slots_.at(v); }
 
+// ---- In-place region plan --------------------------------------------------
+
+RegionPlan planRegions(const Block& body,
+                       const std::function<DType(const Value*)>& dtypeOf) {
+  const auto returns = body.returns();
+  RegionPlan plan;
+  plan.rootParam.assign(returns.size(), -1);
+  plan.writes.resize(returns.size());
+  auto donatedAssign = [](const Value* v) -> const Node* {
+    const Node* def = v->definingNode();
+    return def != nullptr && def->kind() == OpKind::Assign &&
+                   def->attrs().bOr("inplace", false)
+               ? def
+               : nullptr;
+  };
+  for (std::size_t ri = 0; ri < returns.size(); ++ri) {
+    const Value* v = returns[ri];
+    while (const Node* def = donatedAssign(v)) v = def->input(0);
+    if (v != returns[ri] && v->paramBlock() == &body)
+      plan.rootParam[ri] = static_cast<int>(v->defIndex());
+  }
+  for (std::size_t ri = 0; ri < returns.size(); ++ri) {
+    if (plan.rootParam[ri] < 0) continue;
+    std::vector<RegionWrite>& writes = plan.writes[ri];
+    for (const Node* def = donatedAssign(returns[ri]); def != nullptr;
+         def = donatedAssign(def->input(0))) {
+      // An identity assign covers its whole base, so its value is its
+      // source (same dtype: no rounding in between).
+      const Value* src = def->input(1);
+      while (const Node* inner = src->definingNode()) {
+        if (inner->kind() != OpKind::Assign ||
+            viewRuleOf(*inner) != OpKind::Identity ||
+            dtypeOf(inner->input(1)) != dtypeOf(src))
+          break;
+        src = inner->input(1);
+      }
+      RegionWrite w{def, src, -1, -1};
+      for (std::size_t k = 0; k < returns.size(); ++k) {
+        if (returns[k] == src && plan.rootParam[k] < 0) {
+          w.fromReturn = static_cast<int>(k);
+          break;
+        }
+      }
+      if (w.fromReturn < 0) {
+        auto it = std::find(plan.sources.begin(), plan.sources.end(), src);
+        w.sourceIndex = static_cast<int>(it - plan.sources.begin());
+        if (it == plan.sources.end()) plan.sources.push_back(src);
+      }
+      writes.push_back(w);
+    }
+    std::reverse(writes.begin(), writes.end());  // root first
+  }
+  return plan;
+}
+
 // ---- Signature-dependent analysis ------------------------------------------
 
 namespace {
@@ -378,11 +433,12 @@ class Emitter {
   Emitter(const Block& body,
           const std::unordered_map<const Value*, int>& slots,
           std::span<const InputSig> sig, const std::vector<SlotMeta>& metas,
-          bool emitFast)
+          std::span<const Value* const> sources, bool emitFast)
       : body_(body),
         slots_(slots),
         sig_(sig),
         metas_(metas),
+        sources_(sources),
         emitFast_(emitFast) {}
 
   std::string emit() {
@@ -419,9 +475,12 @@ class Emitter {
       }
       for (const Node* node : body_) emitFastNode(*node);
     }
+    // Output index i < numReturns runs return i; numReturns + k runs
+    // region source k of the RegionPlan.
     std::size_t ri = 0;
     for (const Value* r : body_.returns()) emitRunner(ri++, r);
-    emitEntry();
+    for (const Value* s : sources_) emitRunner(ri++, s);
+    emitEntry(ri);
     return os_.str();
   }
 
@@ -847,6 +906,8 @@ class Emitter {
     }
   }
 
+  /// Loop body writing value `r` into `out` over [begin, end): output
+  /// index `ri` of the entry point.
   void emitRunner(std::size_t ri, const Value* r) {
     const SlotMeta& m = meta(r);
     const char* t = ctypeName(m.dtype);
@@ -885,7 +946,7 @@ class Emitter {
     os_ << "}\n\n";
   }
 
-  void emitEntry() {
+  void emitEntry(std::size_t numRunners) {
     os_ << "extern \"C\" void tssa_jit_entry(const TssaJitBuffer* ins, "
            "TssaJitBuffer* out,\n"
            "                                const i64* const* shapes, "
@@ -895,7 +956,7 @@ class Emitter {
            "                                std::int32_t flags) {\n"
            "  C g{ins, shapes, scalars};\n"
            "  switch (outIndex) {\n";
-    for (std::size_t i = 0; i < body_.numReturns(); ++i) {
+    for (std::size_t i = 0; i < numRunners; ++i) {
       os_ << "    case " << i << ": run_r" << i
           << "(&g, out, begin, end, flags); return;\n";
     }
@@ -908,6 +969,7 @@ class Emitter {
   const std::unordered_map<const Value*, int>& slots_;
   std::span<const InputSig> sig_;
   const std::vector<SlotMeta>& metas_;
+  std::span<const Value* const> sources_;
   bool emitFast_;
   std::ostringstream os_;
 };
@@ -920,7 +982,11 @@ std::string Generator::emitSource(std::span<const InputSig> sig) const {
   bool allContig = true;
   for (const InputSig& s : sig)
     if (s.isTensor && !s.contiguous) allContig = false;
-  Emitter e(body_, slots_, sig, metas, fastEligible_ && allContig);
+  const RegionPlan plan = planRegions(body_, [&](const Value* v) {
+    return metas[static_cast<std::size_t>(slots_.at(v))].dtype;
+  });
+  Emitter e(body_, slots_, sig, metas, plan.sources,
+            fastEligible_ && allContig);
   return e.emit();
 }
 

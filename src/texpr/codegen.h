@@ -4,7 +4,8 @@
 // translation unit: one `static inline double v<slot>(...)` per body value
 // (mirroring Kernel::evalAt node for node, including the per-node dtype
 // rounding that makes fused evaluation bitwise-equal to eager execution),
-// plus one loop body per return. The loop comes in two forms — a generic
+// plus one loop body per materialized return and per in-place region source
+// (RegionPlan below). The loop comes in two forms — a generic
 // coordinate walk that handles broadcasts, strided inputs, and Access/Assign
 // index transforms, and a contiguous-innermost linear loop the host enables
 // at run time when every input is contiguous and shape-equal to the output
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -65,6 +67,40 @@ struct SelectGuard {
   const ir::Value* base = nullptr;        ///< tensor whose dim is indexed
   std::int64_t dim = 0;                   ///< already normalized
 };
+
+/// One write of an in-place return: the assign's view region of the donated
+/// root receives `source`.
+struct RegionWrite {
+  const ir::Node* assign = nullptr;  ///< immut::assign (view rule, operands)
+  const ir::Value* source = nullptr; ///< value copied into the region
+  int fromReturn = -1;   ///< materialized return holding `source`, or -1
+  int sourceIndex = -1;  ///< index into RegionPlan::sources otherwise
+};
+
+/// How a body's returns execute (DESIGN.md §11, in-place region execution).
+/// A return whose defining chain is immut::assign[inplace=true] nodes rooted
+/// at a body parameter is not materialized: the host evaluates each assign's
+/// source, then copies it into the assign's view region of the donated
+/// parameter's storage, in chain order. Every other return is evaluated into
+/// a fresh tensor. Sources are found by peeling identity-covered assigns of
+/// the same dtype; a source that is then a materialized return is copied
+/// from it instead of being evaluated again.
+struct RegionPlan {
+  /// Per return: the body parameter it is written into, or -1 when it is
+  /// materialized into a fresh tensor.
+  std::vector<int> rootParam;
+  /// Per return: its region writes in chain order (empty when materialized).
+  std::vector<std::vector<RegionWrite>> writes;
+  /// Region sources that are evaluated; generated kernels run source `i`
+  /// as output index numReturns + i.
+  std::vector<const ir::Value*> sources;
+};
+
+/// The region plan of `body` given each value's dtype (the peel rule
+/// compares dtypes, which depend on the input signature). The host and the
+/// generator both derive their plan here, so runner indices agree.
+RegionPlan planRegions(const ir::Block& body,
+                       const std::function<DType(const ir::Value*)>& dtypeOf);
 
 /// Bound to one fused body; reusable across input signatures. The body must
 /// satisfy texpr::Kernel::supports and outlive the generator.

@@ -235,6 +235,17 @@ void Kernel::inferAll(Binding& b) const {
           case OpKind::Minimum:
           case OpKind::Maximum:
             b.dtypes[out] = promoteTypes(a, b.dtypeOf(node->input(1)));
+            // Same typed error as ops::sub / ops::neg.
+            TSSA_CHECK(node->kind() != OpKind::Sub ||
+                           b.dtypes[out] != DType::Bool,
+                       "sub: subtracting two Bool tensors is not supported; "
+                       "use logical_xor or logical_not");
+            break;
+          case OpKind::Neg:
+            TSSA_CHECK(a != DType::Bool,
+                       "neg: negating a Bool tensor is not supported; use "
+                       "logical_not");
+            b.dtypes[out] = a;
             break;
           default:
             b.dtypes[out] = a;
@@ -498,6 +509,39 @@ bool assignCovers(const Node& node, OpKind rule,
   }
 }
 
+/// For an in-place Assign: the view of the (contiguous) donated tensor
+/// `root` that the assign writes.
+Tensor assignRegion(const Node& node, const Tensor& root,
+                    const Kernel::Binding& b) {
+  const auto& attrs = node.attrs();
+  auto dynInt = [&](std::size_t i) {
+    return static_cast<std::int64_t>(b.scalarOf(node.input(i)));
+  };
+  const OpKind rule = viewRuleOf(node);
+  switch (rule) {
+    case OpKind::Identity:
+      return root;
+    case OpKind::Select:
+      return root.select(attrs.i("dim"), dynInt(2));
+    case OpKind::Slice:
+      return root.slice(attrs.i("dim"), dynInt(2), dynInt(3),
+                        attrs.i("step"));
+    case OpKind::Transpose:
+      return root.transpose(attrs.i("dim0"), attrs.i("dim1"));
+    case OpKind::Permute:
+      return root.permute(attrs.ints("dims"));
+    case OpKind::Squeeze:
+      return root.squeeze(attrs.i("dim"));
+    case OpKind::Unsqueeze:
+      return root.unsqueeze(attrs.i("dim"));
+    case OpKind::Reshape:
+    case OpKind::Flatten:
+      return root.view(viewShape(node, rule, root.sizes(), 2, b));
+    default:
+      TSSA_THROW("unsupported assign rule in texpr: " << opName(rule));
+  }
+}
+
 }  // namespace
 
 // ---- Element evaluation --------------------------------------------------------------------
@@ -601,7 +645,8 @@ void* rawDataOf(const Tensor& t) {
 }  // namespace
 
 bool Kernel::tryRunJit(std::span<const RtValue> inputs, const Binding& b,
-                       std::vector<RtValue>& outputs, int threads) const {
+                       std::span<const Target> targets,
+                       std::vector<Tensor>& results, int threads) const {
   using codegen::Decline;
   if (gen_ == nullptr) return false;
   jit::KernelCache& cache = jit::KernelCache::instance();
@@ -704,10 +749,9 @@ bool Kernel::tryRunJit(std::span<const RtValue> inputs, const Binding& b,
     if (s.isTensor && !s.contiguous) emittedFast = false;
 
   jit::EntryFn entry = kernel->entry();
-  outputs.reserve(body_.numReturns());
-  std::int32_t outIndex = 0;
-  for (const Value* r : body_.returns()) {
-    Tensor out = Tensor::empty(b.shapeOf(r), b.dtypeOf(r));
+  results.reserve(targets.size());
+  for (const Target& target : targets) {
+    Tensor out = Tensor::empty(b.shapeOf(target.value), b.dtypeOf(target.value));
     const std::int64_t numel = out.numel();
     std::int32_t flags = 0;
     if (emittedFast) {
@@ -721,6 +765,7 @@ bool Kernel::tryRunJit(std::span<const RtValue> inputs, const Binding& b,
     }
     jit::JitBuffer ob{rawDataOf(out), out.sizes().data(),
                       out.strides().data()};
+    const std::int32_t outIndex = target.runner;
     if (threads > 1 && numel >= kMinParallelElems) {
       runtime::ThreadPool::shared().parallelFor(
           numel, threads,
@@ -732,10 +777,35 @@ bool Kernel::tryRunJit(std::span<const RtValue> inputs, const Binding& b,
       entry(ins.data(), &ob, shapes.data(), scalars.data(), outIndex, 0,
             numel, flags);
     }
-    outputs.emplace_back(std::move(out));
-    ++outIndex;
+    results.push_back(std::move(out));
   }
   return true;
+}
+
+void Kernel::evalInto(const Value* v, Tensor& out, const Binding& b,
+                      int threads) const {
+  const std::int64_t numel = out.numel();
+  if (threads > 1 && numel >= kMinParallelElems) {
+    // Each chunk writes a disjoint contiguous range of the fresh output;
+    // evalAt reads only the immutable Binding and input tensors.
+    runtime::ThreadPool::shared().parallelFor(
+        numel, threads,
+        [&](std::int64_t begin, std::int64_t end, int /*chunk*/) {
+          Shape coord = delinearize(begin, out.sizes());
+          for (std::int64_t lin = begin; lin < end; ++lin) {
+            out.setScalarAt(coord, evalAt(v, coord, b));
+            for (std::int64_t d = static_cast<std::int64_t>(coord.size()) - 1;
+                 d >= 0; --d) {
+              const auto ud = static_cast<std::size_t>(d);
+              if (++coord[ud] < out.sizes()[ud]) break;
+              coord[ud] = 0;
+            }
+          }
+        });
+  } else {
+    for (IndexIterator it(out.sizes()); it.valid(); it.next())
+      out.setScalarAt(it.index(), evalAt(v, it.index(), b));
+  }
 }
 
 std::vector<RtValue> Kernel::run(std::span<const RtValue> inputs,
@@ -764,35 +834,84 @@ std::vector<RtValue> Kernel::run(std::span<const RtValue> inputs,
     }
   }
 
-  std::vector<RtValue> outputs;
-  if (tryRunJit(inputs, b, outputs, threads)) return outputs;
-  outputs.reserve(body_.numReturns());
-  for (const Value* r : body_.returns()) {
-    Tensor out = Tensor::empty(b.shapeOf(r), b.dtypeOf(r));
-    const std::int64_t numel = out.numel();
-    if (threads > 1 && numel >= kMinParallelElems) {
-      // Each chunk writes a disjoint contiguous range of the fresh output;
-      // evalAt reads only the immutable Binding and input tensors.
-      runtime::ThreadPool::shared().parallelFor(
-          numel, threads,
-          [&](std::int64_t begin, std::int64_t end, int /*chunk*/) {
-            Shape coord = delinearize(begin, out.sizes());
-            for (std::int64_t lin = begin; lin < end; ++lin) {
-              out.setScalarAt(coord, evalAt(r, coord, b));
-              for (std::int64_t d =
-                       static_cast<std::int64_t>(coord.size()) - 1;
-                   d >= 0; --d) {
-                const auto ud = static_cast<std::size_t>(d);
-                if (++coord[ud] < out.sizes()[ud]) break;
-                coord[ud] = 0;
-              }
-            }
-          });
-    } else {
-      for (IndexIterator it(out.sizes()); it.valid(); it.next())
-        out.setScalarAt(it.index(), evalAt(r, it.index(), b));
+  // In-place returns write into their donated parameter's tensor. One that
+  // cannot take the writes as a plain strided copy (non-contiguous, or its
+  // storage already taken by another in-place return) is materialized.
+  codegen::RegionPlan plan = codegen::planRegions(
+      body_, [&](const Value* v) { return b.dtypeOf(v); });
+  const auto returns = body_.returns();
+  for (std::size_t ri = 0; ri < returns.size(); ++ri) {
+    const int p = plan.rootParam[ri];
+    if (p < 0) continue;
+    const RtValue& root = inputs[static_cast<std::size_t>(p)];
+    bool donated = root.isTensor() && root.tensor().isContiguous();
+    for (std::size_t k = 0; donated && k < ri; ++k) {
+      const int q = plan.rootParam[k];
+      if (q >= 0 && inputs[static_cast<std::size_t>(q)].tensor()
+                        .sharesStorageWith(root.tensor()))
+        donated = false;
     }
-    outputs.emplace_back(std::move(out));
+    if (!donated) plan.rootParam[ri] = -1;
+  }
+
+  // Evaluate every materialized return and every region source against the
+  // unmodified inputs: the region writes come after all reads.
+  std::vector<Target> targets;
+  std::vector<int> targetOf(returns.size() + plan.sources.size(), -1);
+  auto addTarget = [&](std::size_t runner, const Value* v) {
+    if (targetOf[runner] >= 0) return;
+    targetOf[runner] = static_cast<int>(targets.size());
+    targets.push_back({v, static_cast<std::int32_t>(runner)});
+  };
+  for (std::size_t ri = 0; ri < returns.size(); ++ri) {
+    if (plan.rootParam[ri] < 0) {
+      addTarget(ri, returns[ri]);
+      continue;
+    }
+    for (const codegen::RegionWrite& w : plan.writes[ri]) {
+      if (w.sourceIndex < 0) continue;
+      const auto si = static_cast<std::size_t>(w.sourceIndex);
+      addTarget(returns.size() + si, plan.sources[si]);
+    }
+  }
+  std::vector<Tensor> results;
+  if (!tryRunJit(inputs, b, targets, results, threads)) {
+    results.clear();
+    for (const Target& target : targets) {
+      Tensor out =
+          Tensor::empty(b.shapeOf(target.value), b.dtypeOf(target.value));
+      evalInto(target.value, out, b, threads);
+      results.push_back(std::move(out));
+    }
+  }
+
+  // Region writes, in chain order, each through a strided copy_ into the
+  // assign's view of the donated tensor.
+  std::int64_t inplace = 0;
+  for (std::size_t ri = 0; ri < returns.size(); ++ri) {
+    if (plan.rootParam[ri] < 0) continue;
+    Tensor root = inputs[static_cast<std::size_t>(plan.rootParam[ri])].tensor();
+    for (const codegen::RegionWrite& w : plan.writes[ri]) {
+      const std::size_t runner =
+          w.fromReturn >= 0
+              ? static_cast<std::size_t>(w.fromReturn)
+              : returns.size() + static_cast<std::size_t>(w.sourceIndex);
+      assignRegion(*w.assign, root, b)
+          .copy_(results[static_cast<std::size_t>(targetOf[runner])]);
+    }
+    ++inplace;
+  }
+  std::vector<RtValue> outputs;
+  outputs.reserve(returns.size());
+  for (std::size_t ri = 0; ri < returns.size(); ++ri) {
+    const int p = plan.rootParam[ri];
+    outputs.emplace_back(p >= 0 ? inputs[static_cast<std::size_t>(p)].tensor()
+                                : results[static_cast<std::size_t>(
+                                      targetOf[ri])]);
+  }
+  if (stats != nullptr) {
+    for (const Tensor& t : results) stats->elems += t.numel();
+    stats->inplace += inplace;
   }
   return outputs;
 }

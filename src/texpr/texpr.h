@@ -49,11 +49,21 @@ class Kernel {
   struct RunStats {
     std::int64_t flops = 0;       ///< one per produced element per op
     std::int64_t savedBytes = 0;  ///< traffic saved by donated assigns
+    std::int64_t elems = 0;       ///< elements evaluated (materialized
+                                  ///< returns + region sources)
+    std::int64_t inplace = 0;     ///< returns written in place
   };
 
   /// Executes: one RtValue per body parameter, returns one tensor per body
   /// return. Tensor inputs may be views; scalar inputs feed dynamic view
   /// operands (select indices, slice bounds).
+  ///
+  /// A return that codegen::planRegions marks in place is written into its
+  /// donated parameter's tensor and returns that tensor (the body parameter
+  /// must be dead after the group, which markInplaceAssigns proves); it
+  /// falls back to a fresh tensor when that tensor is not contiguous or its
+  /// storage is also another in-place root. Every element is evaluated
+  /// against the unmodified inputs before the first region write.
   ///
   /// With `threads > 1` the per-element loop of each output is split into
   /// static chunks on the shared runtime thread pool (every element is
@@ -76,11 +86,23 @@ class Kernel {
   double evalAt(const ir::Value* v, std::span<const std::int64_t> coord,
                 const Binding& b) const;
 
-  /// Native-code dispatch. Returns true and fills `outputs` when a compiled
-  /// kernel ran; false when this launch declines to the interpreter (the
-  /// reason is counted in jit::KernelCache).
+  /// A value to evaluate into a fresh tensor, and the generated kernel's
+  /// output index that computes it.
+  struct Target {
+    const ir::Value* value;
+    std::int32_t runner;
+  };
+
+  /// Native-code dispatch. Returns true and fills `results` (one tensor per
+  /// target) when a compiled kernel ran; false when this launch declines to
+  /// the interpreter (the reason is counted in jit::KernelCache).
   bool tryRunJit(std::span<const runtime::RtValue> inputs, const Binding& b,
-                 std::vector<runtime::RtValue>& outputs, int threads) const;
+                 std::span<const Target> targets, std::vector<Tensor>& results,
+                 int threads) const;
+
+  /// Interpreter path: evaluates every element of `v` into `out`.
+  void evalInto(const ir::Value* v, Tensor& out, const Binding& b,
+                int threads) const;
 
   const ir::Block& body_;
   std::unique_ptr<codegen::Generator> gen_;  ///< null when JIT is off

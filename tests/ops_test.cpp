@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/tensor/ops.h"
@@ -194,6 +196,77 @@ TEST(OpsTest, TopkArgsortCumsum) {
 
   Tensor cs = ops::cumsum(a, 0);
   EXPECT_EQ(cs.scalarAtLinear(4), 14.0);
+}
+
+/// The stored bytes of a contiguous Bool tensor.
+std::vector<int> boolBytes(const Tensor& t) {
+  const std::uint8_t* p = t.data<std::uint8_t>();
+  return std::vector<int>(p, p + t.numel());
+}
+
+TEST(OpsTest, BoolArithmeticStoresZeroOrOne) {
+  const bool av[] = {false, false, true, true};
+  const bool bv[] = {false, true, false, true};
+  Tensor a = Tensor::fromData(std::span<const bool>(av), {4});
+  Tensor b = Tensor::fromData(std::span<const bool>(bv), {4});
+  const std::vector<int> anyTrue{0, 1, 1, 1}, bothTrue{0, 0, 0, 1};
+  for (const auto& [out, want] :
+       {std::pair{ops::add(a, b), anyTrue}, std::pair{ops::mul(a, b), bothTrue},
+        std::pair{ops::minimum(a, b), bothTrue},
+        std::pair{ops::maximum(a, b), anyTrue}}) {
+    EXPECT_EQ(out.dtype(), DType::Bool);
+    EXPECT_EQ(boolBytes(out), want);
+  }
+  // A broadcast True + True also stores 1, not 2.
+  Tensor t = Tensor::full({3}, Scalar(true), DType::Bool);
+  EXPECT_EQ(boolBytes(ops::add(t, t.select(0, 0))),
+            (std::vector<int>{1, 1, 1}));
+}
+
+TEST(OpsTest, BoolSubAndNegRaise) {
+  const bool av[] = {false, true};
+  Tensor a = Tensor::fromData(std::span<const bool>(av), {2});
+  EXPECT_THROW(ops::sub(a, a), Error);
+  EXPECT_THROW(ops::neg(a), Error);
+  // With a non-Bool operand the result promotes and is well defined.
+  Tensor d = ops::sub(a, Tensor::arange(2));
+  EXPECT_EQ(d.dtype(), DType::Int64);
+  EXPECT_EQ(d.scalarAtLinear(1), 0.0);
+}
+
+TEST(OpsTest, SortOrderPutsNaNLargestAndKeepsTiesInIndexOrder) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // Row 1 is row 0 reversed, so ties and NaNs meet in the other order.
+  Tensor a = Tensor::fromData(
+      std::vector<float>{1, nan, -0.0f, -inf, 0.0f, inf, nan, -1,
+                         -1, nan, inf, 0.0f, -inf, -0.0f, nan, 1},
+      {2, 8});
+  auto indices = [](const Tensor& t) {
+    std::vector<std::int64_t> out;
+    for (std::int64_t i = 0; i < t.numel(); ++i)
+      out.push_back(static_cast<std::int64_t>(t.scalarAtLinear(i)));
+    return out;
+  };
+  EXPECT_EQ(indices(ops::argsort(a, /*descending=*/false)),
+            (std::vector<std::int64_t>{3, 7, 2, 4, 0, 5, 1, 6,  //
+                                       4, 0, 3, 5, 7, 2, 1, 6}));
+  EXPECT_EQ(indices(ops::argsort(a, /*descending=*/true)),
+            (std::vector<std::int64_t>{1, 6, 5, 0, 2, 4, 7, 3,  //
+                                       1, 6, 2, 7, 3, 5, 0, 4}));
+  // The same order on a transposed (strided) view.
+  Tensor at = a.transpose(0, 1).clone().transpose(0, 1);
+  EXPECT_EQ(indices(ops::argsort(at, true)), indices(ops::argsort(a, true)));
+
+  auto [values, idx] = ops::topk(a, 8);
+  EXPECT_EQ(indices(idx), indices(ops::argsort(a, true)));
+  EXPECT_TRUE(std::isnan(values.scalarAt(Shape{0, 0})));
+  EXPECT_TRUE(std::isnan(values.scalarAt(Shape{0, 1})));
+  EXPECT_EQ(values.scalarAt(Shape{0, 2}), inf);
+  // -0.0 (index 2) and 0.0 (index 4) tie; each keeps its sign bit.
+  EXPECT_TRUE(std::signbit(values.scalarAt(Shape{0, 4})));
+  EXPECT_FALSE(std::signbit(values.scalarAt(Shape{0, 5})));
+  EXPECT_EQ(values.scalarAt(Shape{0, 7}), -inf);
 }
 
 }  // namespace

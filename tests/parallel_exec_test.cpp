@@ -8,11 +8,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
+#include "src/obs/trace.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/thread_pool.h"
 #include "src/workloads/workload.h"
@@ -233,6 +235,69 @@ TEST_P(ParallelExecTest, ThreadCountIsUnobservable) {
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, ParallelExecTest,
                          ::testing::ValuesIn(workloads::workloadNames()),
+                         [](const auto& info) { return info.param; });
+
+// ---- In-place region execution ---------------------------------------------
+
+/// Byte equality of two tensors' elements (NaN payloads and signed zeros
+/// included).
+bool sameBytes(const Tensor& a, const Tensor& b) {
+  if (a.sizes() != b.sizes() || a.dtype() != b.dtype()) return false;
+  const Tensor x = a.clone(), y = b.clone();
+  const std::size_t n =
+      static_cast<std::size_t>(x.numel()) * dtypeSize(x.dtype());
+  return n == 0 || std::memcmp(x.storage()->raw(), y.storage()->raw(), n) == 0;
+}
+
+/// Workloads whose fused groups write a donated carried buffer in place
+/// (texpr in-place region execution, DESIGN.md §11) — in yolact inside the
+/// ParallelMap body, so workers write disjoint slices of one tensor.
+class InplaceRegionTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(InplaceRegionTest, MatchesEagerAtEveryThreadCountAndJitSetting) {
+  WorkloadConfig config;
+  config.batch = 2;
+  config.seqLen = 12;
+  Workload w = buildWorkload(GetParam(), config);
+  Pipeline eager(PipelineKind::Eager, *w.graph);
+  const std::vector<RtValue> want = eager.run(w.inputs);
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  for (int threads : {1, 2, ThreadPool::hardwareThreads()}) {
+    for (bool jit : {false, true}) {
+      PipelineOptions opts;
+      opts.threads = threads;
+      opts.texprJit = jit;
+      Pipeline p(PipelineKind::TensorSsa, *w.graph, opts);
+      tracer.clear();
+      tracer.enable();
+      // Twice: the second run writes into recycled (arena) buffers.
+      for (int run = 0; run < 2; ++run) {
+        const std::vector<RtValue> got = p.run(w.inputs);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          if (!want[i].isTensor()) continue;
+          EXPECT_TRUE(sameBytes(want[i].tensor(), got[i].tensor()))
+              << w.name << " output " << i << " threads=" << threads
+              << " jit=" << jit << " run " << run;
+        }
+      }
+      tracer.disable();
+      std::int64_t inplace = 0;
+      for (const obs::TraceEvent& e : tracer.snapshot()) {
+        if (e.name != "FusionGroup") continue;
+        for (const auto& [key, value] : e.args)
+          if (key == "inplace") inplace += std::stoll(value);
+      }
+      EXPECT_GT(inplace, 0) << w.name << " wrote nothing in place";
+    }
+  }
+  tracer.clear();
+}
+
+INSTANTIATE_TEST_SUITE_P(DonatingWorkloads, InplaceRegionTest,
+                         ::testing::Values("lstm", "nasrnn", "attention",
+                                           "yolact"),
                          [](const auto& info) { return info.param; });
 
 TEST(ParallelExecTest, YolactActuallyBearsAParallelMap) {
